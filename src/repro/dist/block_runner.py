@@ -43,11 +43,7 @@ from repro.core.stats import SolverStats
 from repro.core.transition import TransitionSchedule, build_schedule
 from repro.dist.messages import NodeResult, SimulationTask
 from repro.dist.worker import run_task
-from repro.linalg.block_krylov import (
-    FastEstimator,
-    build_bases_block,
-    prime_eig_payloads,
-)
+from repro.linalg.block_krylov import build_bases_block, prime_eig_payloads
 
 __all__ = ["BlockNodeRunner"]
 
@@ -103,7 +99,6 @@ class BlockNodeRunner:
         self.system = system
         self.options = options if options is not None else SolverOptions()
         self.solver = MatexSolver(system, self.options, deviation_mode=True)
-        self._estimator = FastEstimator(self.solver.op)
         self._pending_cache_hits = self.solver.construction_cache_hits
         self._pending_cache_misses = self.solver.construction_cache_misses
         # Reusable (dim, 2·width) RHS buffer for the segment rounds and
@@ -339,7 +334,6 @@ class BlockNodeRunner:
         bases = build_bases_block(
             self.solver.op, vs, hs, tols,
             m_max=opts.m_max, min_dim=opts.m_min,
-            estimator=self._estimator,
         )
         prime_eig_payloads(bases)
         for t, basis in zip(builders, bases):
@@ -353,7 +347,6 @@ class BlockNodeRunner:
         (basis,) = build_bases_block(
             self.solver.op, [t.v_alts], [ha], [t.eps_segment],
             m_max=self.options.m_max, min_dim=self.options.m_min,
-            estimator=self._estimator,
         )
         t.basis = basis
         t.stats.n_krylov_bases += 1

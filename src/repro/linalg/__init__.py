@@ -2,7 +2,7 @@
 
 from repro.linalg.arnoldi import ArnoldiBreakdown, ArnoldiResult, arnoldi
 from repro.linalg.dense_reference import dense_a_matrix, etd_exact_step, exact_transient
-from repro.linalg.expm import expm, expm_action, expm_e1
+from repro.linalg.expm import expm, expm_e1
 from repro.linalg.krylov import (
     METHOD_NAMES,
     InvertedKrylov,
@@ -40,7 +40,6 @@ __all__ = [
     "etd_exact_step",
     "exact_transient",
     "expm",
-    "expm_action",
     "expm_e1",
     "kernel_mode",
     "make_krylov_operator",

@@ -33,6 +33,19 @@ ConvergenceTest = Callable[[int, np.ndarray, np.ndarray, float], bool]
 #: workspace starts small and doubles on demand.
 _INITIAL_CAPACITY = 32
 
+#: Default relative tolerance (vs. the pre-orthogonalisation norm of the
+#: new vector) declaring a happy breakdown.
+BREAKDOWN_TOL = 1e-14
+
+#: Convergence-test throttle.  Each posterior test costs an m×m expm;
+#: once the basis is deeper than ``TEST_THROTTLE_DIM`` (only MEXP on
+#: stiff circuits gets there) testing every iteration would dominate,
+#: so only every ``TEST_THROTTLE_EVERY``-th dimension is tested.  The
+#: scalar and lockstep builds share these so their stopping decisions
+#: coincide.
+TEST_THROTTLE_DIM = 60
+TEST_THROTTLE_EVERY = 5
+
 
 def _initial_capacity(m_cap: int) -> int:
     """Starting workspace capacity for a basis capped at ``m_cap``."""
@@ -118,7 +131,7 @@ def arnoldi(
     m_max: int,
     convergence: ConvergenceTest | None = None,
     min_dim: int = 1,
-    breakdown_tol: float = 1e-14,
+    breakdown_tol: float = BREAKDOWN_TOL,
     reorthogonalize: bool = True,
 ) -> ArnoldiResult:
     """Run the Arnoldi process on operator ``apply`` from vector ``v``.

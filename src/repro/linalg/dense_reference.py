@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
 from repro.circuit.waveforms import merge_transition_spots
-from repro.linalg.expm import expm
 
 __all__ = ["dense_a_matrix", "etd_exact_step", "exact_transient"]
 
@@ -69,7 +68,7 @@ def etd_exact_step(
     z = np.zeros(n + 2)
     z[:n] = x
     z[n + 1] = 1.0
-    return (expm(h * M) @ z)[:n]
+    return (scipy.linalg.expm(h * M) @ z)[:n]
 
 
 def exact_transient(

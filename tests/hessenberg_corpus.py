@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import json
 import os
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +84,7 @@ def _openblas_configs() -> list[str]:
                          "openblas_get_config64_", "openblas_get_config"):
                 fn = getattr(handle, name, None)
                 if fn is not None:
+                    fn.argtypes = []
                     fn.restype = ctypes.c_char_p
                     found = fn().decode()
                     break
@@ -154,22 +155,29 @@ def mesh_options(method: str):
     return SolverOptions(method=method, gamma=GAMMA, eps_rel=MESH_EPS_REL)
 
 
-def mesh_tasks():
-    """The mesh system and its per-source-group tasks."""
-    sys.path.insert(0, str(Path(__file__).parent))
-    from conftest import build_multi_source_mesh
+def mesh_system():
+    """The six-by-six multi-source mesh of the shared test fixtures."""
+    spec = importlib.util.spec_from_file_location(
+        "_corpus_fixtures", Path(__file__).parent / "conftest.py"
+    )
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
 
     from repro.circuit import assemble
+
+    return assemble(fixtures.build_multi_source_mesh())
+
+
+def mesh_tasks(system):
+    """The per-source-group tasks of the mesh ``system``."""
     from repro.dist import MatexScheduler, SimulationTask
 
-    system = assemble(build_multi_source_mesh())
     sched = MatexScheduler(system, mesh_options("rational"), decomposition="bump")
     gts = tuple(system.global_transition_spots(MESH_T_END))
-    tasks = [
+    return [
         SimulationTask(task_id=g.group_id, group=g, t_end=MESH_T_END, global_points=gts)
         for g in sched.groups(t_end=MESH_T_END)
     ]
-    return system, tasks
 
 
 # -- recording --------------------------------------------------------------------------
@@ -179,13 +187,12 @@ def _outcome(fn):
     """``fn()`` as an array, or the raised exception's class name."""
     try:
         return np.asarray(fn(), dtype=float)
-    except Exception as exc:  # the class name is the record
+    except (IndexError, ValueError) as exc:  # LinAlgError is a ValueError
         return np.asarray(type(exc).__name__)
 
 
 def record_blocks(out: dict) -> None:
-    from repro.linalg.block_krylov import fast_expm_stack
-    from repro.linalg.expm import expm, expm_e1
+    from repro.linalg.expm import expm, expm_e1, fast_expm_stack
     from repro.linalg.krylov import make_krylov_operator
 
     C, G, _, _, _ = pencil()
@@ -236,7 +243,8 @@ def record_pencil(out: dict) -> None:
 def record_mesh(out: dict) -> None:
     from repro.dist import NodeWorker
 
-    system, tasks = mesh_tasks()
+    system = mesh_system()
+    tasks = mesh_tasks(system)
     for name in METHODS:
         worker = NodeWorker(system, mesh_options(name))
         for res in (worker.run(t) for t in tasks):

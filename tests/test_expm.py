@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from repro.linalg import expm, expm_action, expm_e1
+from repro.linalg import expm, expm_e1
 
 
 class TestExpmAccuracy:
@@ -49,8 +49,3 @@ class TestHelpers:
     def test_expm_e1_is_first_column(self, rng):
         a = rng.normal(size=(6, 6))
         assert np.allclose(expm_e1(a), expm(a)[:, 0])
-
-    def test_expm_action(self, rng):
-        a = rng.normal(size=(6, 6))
-        v = rng.normal(size=6)
-        assert np.allclose(expm_action(a, v), sla.expm(a) @ v)
